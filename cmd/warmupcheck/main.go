@@ -2,7 +2,8 @@
 // checkpointed post-warmup state (`make warmup-check`). It proves two
 // properties end to end:
 //
-//  1. Equivalence: for every golden (config, workload) pair, a run that
+//  1. Equivalence: for every golden (config, workload) pair, and for a
+//     scenario workload whose warmup crosses a phase boundary, a run that
 //     fast-forwards its warmup cold (training and snapshotting) and a run
 //     that restores the checkpoint produce byte-identical observability
 //     manifests over the measured region.
@@ -31,7 +32,10 @@ import (
 
 // goldenCase mirrors the golden-run harness cases (golden_test.go): the
 // same four (config, workload) pairs and budgets the repo pins manifests
-// for, now exercised under the fast-forward warmup semantic.
+// for, now exercised under the fast-forward warmup semantic. A fifth case
+// runs deploy_churn past its first phase boundary at 1M instructions, so
+// the restored oracle must carry the mix scheduler's state exactly.
+// workload is a standard name or an @spec.yaml reference.
 type goldenCase struct {
 	name     string
 	cfg      core.Config
@@ -55,6 +59,7 @@ func goldenCases() []goldenCase {
 		{"baseline_client_a", core.BaselineConfig(), "client_a", 20_000, 60_000},
 		{"eip_server_b", eip, "server_b", 20_000, 60_000},
 		{"ghrfix_spec_a", ghr, "spec_a", 20_000, 60_000},
+		{"fdp_deploy_churn", core.DefaultConfig(), "@examples/workloads/deploy_churn.yaml", 1_200_000, 60_000},
 	}
 }
 
@@ -82,10 +87,11 @@ func manifestBytes(c goldenCase, w *synth.Workload, restore []byte) ([]byte, []b
 func checkGoldenEquivalence() error {
 	fmt.Println("warmup-check: golden checkpoint equivalence")
 	for _, c := range goldenCases() {
-		w := synth.ByName(c.workload)
-		if w == nil {
-			return fmt.Errorf("%s: unknown workload %q", c.name, c.workload)
+		ws, err := synth.Resolve(c.workload)
+		if err != nil {
+			return fmt.Errorf("%s: %w", c.name, err)
 		}
+		w := ws[0]
 		cold, snap, err := manifestBytes(c, w, nil)
 		if err != nil {
 			return fmt.Errorf("%s: cold run: %w", c.name, err)

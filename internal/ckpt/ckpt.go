@@ -207,6 +207,21 @@ func (r *Reader) PeekU32() uint32 {
 	return binary.LittleEndian.Uint32(r.buf[r.off:])
 }
 
+// Count reads the length prefix of a slice whose size the stream chooses
+// (a Writer slice of elemBytes-wide elements, decoded element by element).
+// It fails — before the caller allocates — when the bytes left cannot
+// hold that many elements, so a damaged prefix cannot demand gigabytes.
+func (r *Reader) Count(elemBytes int) int {
+	n := int(r.U32())
+	if r.err == nil && n > (len(r.buf)-r.off)/elemBytes {
+		r.fail("count %d of %d-byte elements exceeds the %d bytes left", n, elemBytes, len(r.buf)-r.off)
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
+}
+
 // U64 reads a little-endian uint64.
 func (r *Reader) U64() uint64 {
 	b := r.take(8)

@@ -168,3 +168,28 @@ func TestFailf(t *testing.T) {
 		t.Errorf("Err = %v", r.Err())
 	}
 }
+
+// TestCount accepts a prefix the remaining bytes can hold and rejects one
+// they cannot, without consuming the elements.
+func TestCount(t *testing.T) {
+	w := NewWriter()
+	w.U64s([]uint64{5, 6})
+	r := NewReader(w.Bytes())
+	if n := r.Count(8); n != 2 {
+		t.Fatalf("Count = %d, want 2", n)
+	}
+	if r.U64() != 5 || r.U64() != 6 {
+		t.Error("elements mis-decoded after Count")
+	}
+	if err := r.Done(); err != nil {
+		t.Errorf("Done: %v", err)
+	}
+
+	w = NewWriter()
+	w.U32(1 << 30) // a damaged prefix claiming a gigabyte slice
+	w.U64(1)
+	r = NewReader(w.Bytes())
+	if n := r.Count(8); n != 0 || r.Err() == nil || !strings.Contains(r.Err().Error(), "exceeds") {
+		t.Errorf("Count = %d, Err = %v; want 0 and an oversize error", n, r.Err())
+	}
+}

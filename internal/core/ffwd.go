@@ -19,9 +19,10 @@ import (
 // leaves the pipeline itself empty (no FTQ entries, no decode queue, no
 // in-flight fills), which is exactly what makes the post-warmup state
 // small enough to checkpoint: only training state plus a handful of
-// scalars need to be serialized, and a restored machine is bit-identical
-// to one that fast-forwarded in place — the property the warmup-check CI
-// gate proves per golden workload.
+// scalars need to be serialized, plus the oracle's position, so a restore
+// lands on the warmup boundary without replaying the warmup stream. A
+// restored machine is bit-identical to one that fast-forwarded in place —
+// the property the warmup-check CI gate proves per golden workload.
 //
 // Fast-forward warmup is a different warmup *semantic* than cycle-accurate
 // warmup (no speculative-path training, no prefetcher training, detection
@@ -33,7 +34,7 @@ import (
 // snapMagic/snapVersion head every core snapshot.
 const (
 	snapMagic   = 0x46445053 // "FDPS"
-	snapVersion = 1
+	snapVersion = 2
 )
 
 // ErrBadSnapshot marks a checkpoint that failed to decode into the target
@@ -195,15 +196,29 @@ func (c *Core) ffwdDetected(pc uint64) bool {
 	}
 }
 
+// positioner is implemented by oracles that can serialize their position
+// (synth and trace streams): the state a restore would otherwise rebuild
+// by replaying every warmup instruction.
+type positioner interface {
+	SaveState(w *ckpt.Writer)
+	LoadState(r *ckpt.Reader)
+}
+
 // Snapshot serializes the machine's post-warmup microarchitectural state:
 // predictor tables, BTB contents, indirect predictor, architectural
-// history and RAS, cache and ITLB contents, and the architectural-position
-// scalars. It requires a quiesced machine — empty pipeline, no divergence
-// in flight — which FastForward guarantees; it returns an error otherwise.
+// history and RAS, cache and ITLB contents, the architectural-position
+// scalars, and the oracle's position. It requires a quiesced machine —
+// empty pipeline, no divergence in flight — which FastForward guarantees,
+// and an oracle that can serialize its position; it returns an error
+// otherwise.
 func (c *Core) Snapshot() ([]byte, error) {
 	if c.q.Len() != 0 || c.dqLen != 0 || c.diverged {
 		return nil, fmt.Errorf("core: snapshot of a non-quiesced machine (ftq %d, dq %d, diverged %v)",
 			c.q.Len(), c.dqLen, c.diverged)
+	}
+	pos, ok := c.oracle.(positioner)
+	if !ok {
+		return nil, fmt.Errorf("core: snapshot with an oracle (%T) that cannot serialize its position", c.oracle)
 	}
 	w := ckpt.NewWriter()
 	w.U32(snapMagic)
@@ -239,17 +254,23 @@ func (c *Core) Snapshot() ([]byte, error) {
 	c.it.SaveState(w)
 	c.hier.SaveState(w)
 	c.itlb.SaveState(w)
+	pos.SaveState(w)
 	return w.Bytes(), nil
 }
 
 // RestoreSnapshot loads state serialized by Snapshot into a freshly built
-// machine whose oracle has already been advanced past the warmup region
-// (see AdvanceOracle). The speculative frontend state is re-derived from
-// the restored architectural state exactly as FastForward leaves it, so a
-// restored machine and a cold fast-forwarded one are bit-identical.
+// machine, moving its oracle to the saved position — the warmup boundary —
+// from wherever the oracle stands. The speculative frontend state is
+// re-derived from the restored architectural state exactly as FastForward
+// leaves it, so a restored machine and a cold fast-forwarded one are
+// bit-identical.
 func (c *Core) RestoreSnapshot(b []byte) error {
 	if c.now != 0 || c.q.Len() != 0 || c.dqLen != 0 {
 		return fmt.Errorf("core: restore into a machine that already ran (cycle %d)", c.now)
+	}
+	pos, ok := c.oracle.(positioner)
+	if !ok {
+		return fmt.Errorf("core: restore with an oracle (%T) that cannot load its position", c.oracle)
 	}
 	r := ckpt.NewReader(b)
 	if m := r.U32(); r.Err() == nil && m != snapMagic {
@@ -289,8 +310,14 @@ func (c *Core) RestoreSnapshot(b []byte) error {
 	c.it.LoadState(r)
 	c.hier.LoadState(r)
 	c.itlb.LoadState(r)
+	pos.LoadState(r)
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("core: snapshot decode: %w", err)
+	}
+	// FastForward leaves the frontend at the oracle's PC; a snapshot that
+	// disagrees would desynchronize the correct path on the first dispatch.
+	if c.specPC != c.oracle.PC() {
+		return fmt.Errorf("core: snapshot frontend pc %#x, oracle at %#x", c.specPC, c.oracle.PC())
 	}
 
 	c.histSpec.CopyFrom(c.histArch)
@@ -298,17 +325,19 @@ func (c *Core) RestoreSnapshot(b []byte) error {
 	return nil
 }
 
-// advancer is implemented by oracle streams that can skip ahead cheaply
-// (trace replays jump modulo the trace length; synth streams replay their
-// behaviour models without materializing DynInsts).
+// advancer is implemented by oracle streams that can skip ahead without
+// materializing DynInsts (trace replays jump modulo the trace length;
+// synth streams replay their behaviour models).
 type advancer interface {
 	Advance(n uint64)
 }
 
-// AdvanceOracle functionally advances an oracle by n instructions — the
-// restore-side counterpart of FastForward's stream consumption. Streams
-// implementing Advance are skipped in chunks with context polls between
-// them; others are drained with Next.
+// AdvanceOracle functionally advances an oracle by n instructions, as
+// FastForward's stream consumption would, without training anything.
+// Streams implementing Advance are skipped in chunks with context polls
+// between them; others are drained with Next. Restores do not need it —
+// the snapshot carries the oracle's position — but a caller may still
+// position a stream by hand before RestoreSnapshot.
 func AdvanceOracle(ctx context.Context, o Oracle, n uint64) error {
 	done := ctx.Done()
 	const chunk = 1 << 16
@@ -339,16 +368,14 @@ func AdvanceOracle(ctx context.Context, o Oracle, n uint64) error {
 // SimulateCheckpointed runs one simulation with functional fast-forward
 // warmup and checkpointing. With restore == nil it fast-forwards through
 // the warmup budget cold, snapshots the post-warmup state, measures, and
-// returns the snapshot alongside the run. With restore != nil it advances
-// a fresh oracle past the warmup region, loads the snapshot, and
-// measures — producing a byte-identical run without re-training. The
-// returned snapshot is nil on the restore path.
+// returns the snapshot alongside the run. With restore != nil it loads the
+// snapshot — which moves the fresh oracle straight to the warmup boundary,
+// replaying none of the warmup — and measures, producing a byte-identical
+// run in time proportional to the snapshot, not the warmup. The returned
+// snapshot is nil on the restore path.
 func SimulateCheckpointed(ctx context.Context, cfg Config, oracle Oracle, workload string, warmup, measure uint64, o SimOptions, restore []byte) (*stats.Run, []byte, error) {
 	if restore != nil {
 		o.phase("restore")
-		if err := AdvanceOracle(ctx, oracle, warmup); err != nil {
-			return nil, nil, err
-		}
 	}
 	c, err := New(cfg, oracle)
 	if err != nil {

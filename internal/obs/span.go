@@ -27,8 +27,9 @@ const (
 	// SpanCkptWait: the job waited for its post-warmup checkpoint —
 	// a disk-cache read, or another job concurrently building it.
 	SpanCkptWait
-	// SpanRestore: a fresh oracle was advanced past the warmup region and
-	// the checkpointed post-warmup state was loaded.
+	// SpanRestore: the checkpointed post-warmup state, including the
+	// oracle's position at the warmup boundary, was loaded into a fresh
+	// machine.
 	SpanRestore
 	// SpanFFwd: cold functional fast-forward warmup (training predictors
 	// and caches architecturally), including the snapshot build when

@@ -18,11 +18,12 @@ import (
 // a result answers one spec, a checkpoint seeds every spec of a timing
 // sweep over one workload.
 
-// ckptSchema versions the on-disk checkpoint envelope. The Epoch field
-// pins simulator semantics exactly like result entries do: training
-// semantics changes regenerate goldens, bump Epoch, and orphan stale
-// checkpoints into silent misses.
-const ckptSchema = 1
+// ckptSchema versions the on-disk checkpoint envelope and the snapshot
+// layout inside it. The Epoch field pins simulator semantics exactly like
+// result entries do: training semantics changes regenerate goldens, bump
+// Epoch, and orphan stale checkpoints into silent misses. Schema 2 added
+// the oracle's position to the snapshot; schema-1 files are silent misses.
+const ckptSchema = 2
 
 // ckptMemCapacity bounds in-memory checkpoints. They are megabytes each
 // (full predictor tables plus cache tag state), so the resident set is

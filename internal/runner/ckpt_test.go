@@ -3,6 +3,8 @@ package runner
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"hash/crc32"
 	"os"
 	"reflect"
 	"testing"
@@ -207,6 +209,35 @@ func TestCheckpointWrongEpoch(t *testing.T) {
 	}
 	if q := fresh.Quarantined(); q != 0 {
 		t.Fatalf("wrong-epoch checkpoint quarantined (%d), want silent miss", q)
+	}
+}
+
+// TestCheckpointOldSchema: a well-formed checkpoint written under an
+// earlier envelope schema (snapshots without the oracle position) is a
+// silent miss, and the file is left in place rather than quarantined.
+func TestCheckpointOldSchema(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewCache(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := []byte("schema-1 state")
+	b, err := json.Marshal(ckptDiskEntry{Schema: 1, Epoch: Epoch, Key: "k", CRC: crc32.ChecksumIEEE(data), Data: data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := c.ckptPath("k")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.GetCheckpoint("k"); ok {
+		t.Fatal("schema-1 checkpoint was served")
+	}
+	if q := c.Quarantined(); q != 0 {
+		t.Fatalf("schema-1 checkpoint quarantined (%d), want silent miss", q)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("schema-1 checkpoint file moved: %v", err)
 	}
 }
 

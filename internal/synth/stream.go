@@ -28,7 +28,8 @@ type branchState struct {
 // each component keeping its own PC and call stack, and phase
 // boundaries swap in the next phase's fresh component contexts at an
 // absolute instruction count. All of it is a pure function of the
-// workload, so replaying Next (Advance) reconstructs the exact state.
+// workload, so replaying Next (Advance) reconstructs the exact state, and
+// SaveState/LoadState capture it for checkpoints.
 type Stream struct {
 	w     *Workload
 	pc    uint64
@@ -231,10 +232,10 @@ func (s *Stream) Next() program.DynInst {
 	return d
 }
 
-// Advance executes n instructions without returning them — the restart
-// path of checkpointed warmup, which must replay the behaviour models
-// (every RNG draw, loop position and stack operation) to reach the same
-// stream state a full execution would, but needs none of the DynInsts.
+// Advance executes n instructions without returning them, replaying the
+// behaviour models (every RNG draw, loop position and stack operation) to
+// reach the state a full execution would. It costs O(n); checkpoint
+// restores do not use it, since SaveState/LoadState carry the position.
 func (s *Stream) Advance(n uint64) {
 	for i := uint64(0); i < n; i++ {
 		s.Next()
