@@ -4,9 +4,9 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: ci build vet test race fuzz bench bench-check golden-update clean experiments-smoke accounting-check chaos-check warmup-check repro-check spec-check cover
+.PHONY: ci build vet test race fuzz bench bench-check golden-update clean experiments-smoke accounting-check chaos-check warmup-check repro-check spec-check perfbench-check cover
 
-ci: vet build race fuzz experiments-smoke accounting-check chaos-check warmup-check repro-check spec-check
+ci: vet build race fuzz experiments-smoke accounting-check chaos-check warmup-check repro-check spec-check perfbench-check
 
 build:
 	$(GO) build ./...
@@ -33,7 +33,6 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzCheckpoint -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzScorecardJSON -fuzztime=$(FUZZTIME) ./internal/repro
 	$(GO) test -run=^$$ -fuzz=FuzzWorkloadSpec -fuzztime=$(FUZZTIME) ./internal/wspec
-	$(GO) test -run=^$$ -fuzz=FuzzResultEnvelope -fuzztime=$(FUZZTIME) ./internal/dist
 
 # Benchmark knobs: BENCHTIME bounds the go-test benchmarks (1x keeps the
 # 17-benchmark sweep fast; raise for stable numbers), BENCHREPS is the
@@ -83,12 +82,10 @@ experiments-smoke:
 accounting-check:
 	$(GO) run ./cmd/fdpsim -workload server_a,client_a -warmup 50000 -measure 150000 -metrics - | $(GO) run ./cmd/acctcheck
 
-# Seeded fault-injection gate: inject a panic, a hang, a corrupt cache
-# entry, and a kill -9 mid-campaign, and assert the runner survives each
-# the advertised way (retry, watchdog, quarantine, journal resume); then
-# run a distributed campaign over three worker processes while one is
-# SIGKILLed, one hangs every lease, and the network flips bits, and
-# assert the results are byte-identical to a clean local run. See
+# Seeded fault-injection gate, in two phases: inject a panic, a hang and
+# a corrupt cache entry into one keep-going campaign, then kill -9 a
+# campaign mid-run, and assert the runner survives each the advertised
+# way (retry, watchdog, quarantine, journal resume). See
 # docs/ROBUSTNESS.md and cmd/chaos.
 chaos-check:
 	$(GO) run ./cmd/chaos
@@ -102,6 +99,13 @@ chaos-check:
 repro-check:
 	$(GO) run ./cmd/reprocheck -scale quick
 
+# Benchmark-module gate: perfbench/ is its own Go module (it imports this
+# one through a replace directive), so the root vet and test never
+# compile it. Building and testing it here keeps an API change in this
+# module from silently breaking the benchmark harness.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Workload-spec gate: parse, validate and compile every example spec, so
 # a schema or compiler change that orphans the shipped scenarios (or a
 # broken example) fails CI. See docs/WORKLOADS.md.
@@ -110,9 +114,10 @@ spec-check:
 
 # Coverage gate: per-package `go test -short -cover` (the per-package
 # lines are the useful CI log), then the aggregate statement coverage
-# checked against COVERFLOOR. The aggregate measured 71.4% as of the
-# distributed-execution PR (2026-08); the floor sits a couple of points
-# below so it trips on real coverage regressions, not refactoring noise.
+# checked against COVERFLOOR. The aggregate measured 71.4% when
+# distributed execution was added (2026-08) and 73.0% after it was
+# removed again (2026-10); the floor sits below so it trips on real
+# coverage regressions, not refactoring noise.
 COVERFLOOR ?= 69.5
 COVERPROFILE ?= cover.out
 

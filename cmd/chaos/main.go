@@ -13,41 +13,23 @@
 // resumes over the same cache directory and asserts exactly the journaled
 // jobs are trusted from the cache and only the unfinished ones re-run.
 //
-// Phase 3 (distributed chaos) re-execs three worker children and runs a
-// campaign through the lease-based distributed backend while one worker
-// is SIGKILLed mid-campaign, another hangs every lease it accepts, and
-// the link to the only healthy worker flips bits and truncates streams
-// (faultkit.Transport). The campaign must still complete with runs and
-// manifests byte-identical to a clean local execution, with the expiry,
-// reassignment, worker-loss, and corrupt-envelope counters all proving
-// their paths actually fired.
-//
 // Exit status 0 means every assertion held. On failure the working
 // directory is kept for inspection.
 package main
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"time"
 
 	"fdp/internal/core"
-	"fdp/internal/dist"
 	"fdp/internal/faultkit"
-	"fdp/internal/monitor"
 	"fdp/internal/obs"
 	"fdp/internal/runner"
 	"fdp/internal/synth"
@@ -59,11 +41,9 @@ const crashAfter = 2
 
 func main() {
 	var (
-		seed   = flag.Uint64("seed", 0xC4A05, "fault-plan seed (chaos runs replay exactly from their seed)")
-		dir    = flag.String("dir", "", "working directory (default: a temp dir, removed on success)")
-		child  = flag.Bool("crash-child", false, "internal: run the crash-phase campaign and die mid-run")
-		worker = flag.Bool("worker-child", false, "internal: serve the distributed worker protocol on an ephemeral port")
-		hang   = flag.Bool("hang", false, "internal: with -worker-child, hang every lease until canceled")
+		seed  = flag.Uint64("seed", 0xC4A05, "fault-plan seed (chaos runs replay exactly from their seed)")
+		dir   = flag.String("dir", "", "working directory (default: a temp dir, removed on success)")
+		child = flag.Bool("crash-child", false, "internal: run the crash-phase campaign and die mid-run")
 	)
 	flag.Parse()
 
@@ -72,9 +52,6 @@ func main() {
 		// runCrashChild only returns if the planned kill never fired.
 		fmt.Fprintln(os.Stderr, "chaos: crash child completed without dying (exit fault never fired)")
 		os.Exit(3)
-	}
-	if *worker {
-		runWorkerChild(*hang) // never returns
 	}
 
 	root := *dir
@@ -89,7 +66,6 @@ func main() {
 
 	phase1(root, *seed)
 	phase2(root, *seed)
-	phase3(*seed)
 
 	if *dir == "" {
 		os.RemoveAll(root)
@@ -286,249 +262,6 @@ func runCrashChild(dir string) {
 		Journal:   journal,
 		FaultHook: plan.Hook(),
 	})
-}
-
-// phase3Specs widens the shared grid with a second budget tier so the
-// distributed campaign has enough jobs for the kill to land mid-run.
-func phase3Specs() []runner.Spec {
-	specs := chaosSpecs()
-	ws, err := synth.Resolve("server_a", "client_a")
-	if err != nil {
-		fail("%v", err)
-	}
-	for _, cfg := range []core.Config{core.DefaultConfig(), core.BaselineConfig()} {
-		for _, w := range ws {
-			specs = append(specs, runner.WorkloadSpec(cfg, w, 5_000, 20_000))
-		}
-	}
-	return specs
-}
-
-// phase3 runs a campaign against a three-worker fleet under process- and
-// network-level chaos and asserts results identical to a clean local run.
-func phase3(seed uint64) {
-	fmt.Println("chaos: phase 3: distributed campaign (worker kill -9, hung worker, corrupting link)")
-	specs := phase3Specs()
-
-	// Clean local baseline: the distributed campaign must reproduce these
-	// bytes exactly, whatever the fleet goes through.
-	baseline, err := runner.Execute(context.Background(), specs, runner.Options{Parallel: 2, Observe: true})
-	if err != nil {
-		fail("phase 3: baseline run: %v", err)
-	}
-
-	healthy := startWorkerChild(false)
-	defer healthy.stop()
-	victim := startWorkerChild(false)
-	defer victim.stop()
-	tarpit := startWorkerChild(true)
-	defer tarpit.stop()
-
-	tr := faultkit.NewTransport(seed, nil, faultkit.NetFaults{
-		FlipEvery:     3,
-		TruncateEvery: 5,
-		DelayEvery:    7,
-		// Flips land in a line's opening bytes, so every flip is detectably
-		// corrupt (undecodable line or envelope integrity failure) instead
-		// of a silent heartbeat mutation.
-		FlipWithin: 6,
-		DelayMax:   5 * time.Millisecond,
-		// Fault only the healthy worker's result streams: the victim and
-		// the tarpit supply their own failure modes.
-		Match: func(r *http.Request) bool {
-			return r.URL.Host == healthy.host() && r.URL.Path == "/run"
-		},
-	})
-	coord, err := dist.NewCoordinator(dist.Config{
-		Workers:        []string{healthy.url, victim.url, tarpit.url},
-		Client:         &http.Client{Transport: tr},
-		LeaseTimeout:   600 * time.Millisecond,
-		HeartbeatEvery: 100 * time.Millisecond,
-		MaxWorkerFails: 2,
-		MaxCorrupt:     4,
-		Backoff:        runner.RetryPolicy{Base: 10 * time.Millisecond, Cap: 100 * time.Millisecond},
-	})
-	if err != nil {
-		fail("phase 3: %v", err)
-	}
-	if err := coord.Check(context.Background()); err != nil {
-		fail("phase 3: fleet handshake: %v", err)
-	}
-
-	type campaign struct {
-		results []runner.Result
-		err     error
-	}
-	done := make(chan campaign, 1)
-	go func() {
-		res, rerr := runner.Execute(context.Background(), specs, runner.Options{
-			Parallel: 3, Observe: true, Backend: coord,
-		})
-		done <- campaign{res, rerr}
-	}()
-
-	// SIGKILL the victim once the campaign is demonstrably underway.
-	killed := false
-	timeout := time.After(180 * time.Second)
-	var out campaign
-wait:
-	for {
-		select {
-		case out = <-done:
-			break wait
-		case <-timeout:
-			fail("phase 3: campaign did not finish in time (fleet: %+v)", coord.Fleet())
-		case <-time.After(5 * time.Millisecond):
-			if !killed && coord.Fleet().Leases >= 3 {
-				victim.kill()
-				killed = true
-				fmt.Println("chaos: phase 3: SIGKILLed a worker mid-campaign")
-			}
-		}
-	}
-	if !killed {
-		fail("phase 3: campaign finished before the kill landed (grid too small)")
-	}
-	if out.err != nil {
-		fail("phase 3: distributed campaign failed: %v", out.err)
-	}
-	for i := range specs {
-		if canonicalJSON(out.results[i].Run) != canonicalJSON(baseline[i].Run) {
-			fail("phase 3: spec %d run diverged from the clean local baseline", i)
-		}
-		if canonicalJSON(out.results[i].Manifest) != canonicalJSON(baseline[i].Manifest) {
-			fail("phase 3: spec %d manifest diverged from the clean local baseline", i)
-		}
-	}
-
-	fs := coord.Fleet()
-	if fs.Expired < 1 {
-		fail("phase 3: no lease expired despite the hung worker: %+v", fs)
-	}
-	if fs.Reassigns < 1 {
-		fail("phase 3: no lease was reassigned: %+v", fs)
-	}
-	if fs.WorkersLost < 1 {
-		fail("phase 3: no worker was lost despite the kill: %+v", fs)
-	}
-	if fs.Corrupt < 1 {
-		fail("phase 3: the corrupting link produced no rejected envelope: %+v", fs)
-	}
-	if tr.Injected(faultkit.NetFlip) < 1 {
-		fail("phase 3: the transport never flipped a bit")
-	}
-
-	// The monitor serves the same fleet view on /workers.
-	rec := httptest.NewRecorder()
-	monitor.Handler(monitor.Source{Fleet: coord}).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/workers", nil))
-	var snap dist.FleetSnapshot
-	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
-		fail("phase 3: /workers is not JSON: %v", err)
-	}
-	if len(snap.Workers) != 3 {
-		fail("phase 3: /workers lists %d workers, want 3", len(snap.Workers))
-	}
-	fmt.Printf("chaos: phase 3: OK (results byte-identical; %d leases, %d expired, %d reassigned, %d corrupt, %d workers lost, %d bit flips injected)\n",
-		fs.Leases, fs.Expired, fs.Reassigns, fs.Corrupt, fs.WorkersLost, tr.Injected(faultkit.NetFlip))
-}
-
-// workerChild is a re-exec'd worker process under the parent's control.
-type workerChild struct {
-	cmd   *exec.Cmd
-	stdin io.WriteCloser
-	url   string
-}
-
-func startWorkerChild(hang bool) *workerChild {
-	exe, err := os.Executable()
-	if err != nil {
-		fail("%v", err)
-	}
-	args := []string{"-worker-child"}
-	if hang {
-		args = append(args, "-hang")
-	}
-	cmd := exec.Command(exe, args...)
-	cmd.Stderr = os.Stderr
-	stdin, err := cmd.StdinPipe()
-	if err != nil {
-		fail("%v", err)
-	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		fail("%v", err)
-	}
-	if err := cmd.Start(); err != nil {
-		fail("starting worker child: %v", err)
-	}
-	rd := bufio.NewReader(stdout)
-	line, err := rd.ReadString('\n')
-	if err != nil {
-		fail("worker child handshake: %v", err)
-	}
-	addr := strings.TrimSpace(strings.TrimPrefix(line, "chaos-worker: listening on "))
-	if addr == "" || addr == strings.TrimSpace(line) {
-		fail("worker child handshake line %q", line)
-	}
-	go io.Copy(io.Discard, rd)
-	return &workerChild{cmd: cmd, stdin: stdin, url: "http://" + addr}
-}
-
-func (c *workerChild) host() string { return strings.TrimPrefix(c.url, "http://") }
-
-// kill is the kill -9 model: no shutdown, no FIN on open streams.
-func (c *workerChild) kill() { c.cmd.Process.Kill() }
-
-func (c *workerChild) stop() {
-	c.stdin.Close()
-	c.cmd.Process.Kill()
-	c.cmd.Wait()
-}
-
-// runWorkerChild serves the worker protocol until the parent goes away.
-func runWorkerChild(hang bool) {
-	// The parent holds our stdin pipe; when it exits — success, failure,
-	// or its own kill — the pipe closes and we leave. No leaked workers.
-	go func() {
-		io.Copy(io.Discard, os.Stdin)
-		os.Exit(0)
-	}()
-	var hook func(ctx context.Context, job, attempt int) error
-	if hang {
-		hook = func(ctx context.Context, job, attempt int) error {
-			<-ctx.Done()
-			return ctx.Err()
-		}
-	}
-	wk := dist.NewWorker(dist.WorkerOptions{Slots: 2, FaultHook: hook})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fail("worker child: %v", err)
-	}
-	fmt.Printf("chaos-worker: listening on %s\n", ln.Addr())
-	if err := http.Serve(ln, wk.Handler()); err != nil {
-		fail("worker child: %v", err)
-	}
-	os.Exit(0)
-}
-
-// canonicalJSON renders v canonically (marshal → generic unmarshal →
-// marshal), erasing the struct-vs-map difference the wire introduces in
-// interface-typed fields, so equality means byte equality.
-func canonicalJSON(v interface{}) string {
-	b, err := json.Marshal(v)
-	if err != nil {
-		fail("encoding for comparison: %v", err)
-	}
-	var g interface{}
-	if err := json.Unmarshal(b, &g); err != nil {
-		fail("re-decoding for comparison: %v", err)
-	}
-	b2, err := json.Marshal(g)
-	if err != nil {
-		fail("re-encoding for comparison: %v", err)
-	}
-	return string(b2)
 }
 
 func assertCounter(reg *obs.Registry, name string, want uint64) {

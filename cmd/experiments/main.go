@@ -25,7 +25,6 @@ import (
 	"strings"
 	"time"
 
-	"fdp/internal/dist"
 	"fdp/internal/experiments"
 	"fdp/internal/monitor"
 	"fdp/internal/obs"
@@ -65,8 +64,7 @@ func main() {
 		intervals    = flag.Uint64("intervals", 0, "snapshot each run's cycle-accounting time-series every N cycles (0 = off)")
 		intervalsOut = flag.String("intervals-out", "", "write interval records as JSONL to this file ('-' for stdout)")
 		spansOut     = flag.String("spans", "", "write the runner's job lifecycle span timeline as JSONL to this file ('-' for stdout)")
-		httpAddr     = flag.String("http", "", "serve live telemetry on this address (/metrics, /progress, /runs, /intervals, /timeline, /workers, /debug/pprof)")
-		workers      = flag.String("workers", "", "distribute simulations over these fdpworker URLs (comma-separated, e.g. http://host:9131); failed or hung workers are reassigned, and the run degrades to local execution if the whole fleet is lost")
+		httpAddr     = flag.String("http", "", "serve live telemetry on this address (/metrics, /progress, /runs, /intervals, /timeline, /debug/pprof)")
 		pprofOut     = flag.String("pprof", "", "write a CPU profile of the experiment run to this file")
 	)
 	flag.Parse()
@@ -204,20 +202,6 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr, "experiments: warning: the result cache is bypassed while -intervals is active (interval series cannot be replayed from cached results)")
 	}
-	var coord *dist.Coordinator
-	if *workers != "" {
-		c, err := dist.FromFlag(*workers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		if err := c.Check(context.Background()); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		coord = c
-		opts.Backend = coord
-	}
 	var spanLog *obs.SpanLog
 	if *spansOut != "" || *httpAddr != "" {
 		spanLog = obs.NewSpanLog()
@@ -249,7 +233,6 @@ func main() {
 			Manifests: opts.Live,
 			Intervals: opts.Intervals,
 			Spans:     spanLog,
-			Fleet:     coord,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)

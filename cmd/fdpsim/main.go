@@ -21,7 +21,6 @@ import (
 	"strings"
 
 	"fdp/internal/core"
-	"fdp/internal/dist"
 	"fdp/internal/obs"
 	"fdp/internal/runner"
 	"fdp/internal/stats"
@@ -49,7 +48,6 @@ func main() {
 		ffwd         = flag.Bool("ffwd", false, "functional fast-forward warmup: train predictors/caches architecturally without timing the pipeline (different warmup semantics, much faster)")
 		checkpoint   = flag.Bool("checkpoint", false, "with -ffwd, reuse post-warmup state checkpoints across runs (persisted in the -cache directory when set)")
 		parallel     = flag.Int("parallel", 0, "concurrent simulations with -workload all (0 = GOMAXPROCS)")
-		workers      = flag.String("workers", "", "distribute simulations over these fdpworker URLs (comma-separated, e.g. http://host:9131); failed or hung workers are reassigned, and the run degrades to local execution if the whole fleet is lost")
 		cacheDir     = flag.String("cache", "", "reuse results from this on-disk cache directory (synthetic workloads only)")
 
 		check     = flag.Bool("check", false, "enable per-cycle invariant checking")
@@ -263,16 +261,6 @@ func main() {
 	}
 	if *retries > 0 {
 		ropts.Retry = runner.RetryPolicy{Attempts: *retries + 1}
-	}
-	if *workers != "" {
-		coord, err := dist.FromFlag(*workers)
-		if err != nil {
-			fatal("%v", err)
-		}
-		if err := coord.Check(context.Background()); err != nil {
-			fatal("%v", err)
-		}
-		ropts.Backend = coord
 	}
 	if traceW != nil {
 		ropts.TraceCap = *traceCap

@@ -24,7 +24,6 @@ import (
 	"strings"
 
 	"fdp/internal/core"
-	"fdp/internal/dist"
 	"fdp/internal/monitor"
 	"fdp/internal/obs"
 	"fdp/internal/runner"
@@ -85,8 +84,7 @@ func run(args []string, stdout io.Writer) error {
 		intervals    = fs.Uint64("intervals", 0, "snapshot each run's cycle-accounting time-series every N cycles (0 = off)")
 		intervalsOut = fs.String("intervals-out", "", "write interval records as JSONL to this file ('-' for stdout)")
 		spansOut     = fs.String("spans", "", "write the runner's job lifecycle span timeline as JSONL to this file ('-' for stdout)")
-		httpAddr     = fs.String("http", "", "serve live telemetry on this address (/metrics, /progress, /runs, /intervals, /timeline, /workers, /debug/pprof)")
-		workers      = fs.String("workers", "", "distribute simulations over these fdpworker URLs (comma-separated, e.g. http://host:9131); failed or hung workers are reassigned, and the sweep degrades to local execution if the whole fleet is lost")
+		httpAddr     = fs.String("http", "", "serve live telemetry on this address (/metrics, /progress, /runs, /intervals, /timeline, /debug/pprof)")
 		pprofOut     = fs.String("pprof", "", "write a CPU profile of the sweep to this file")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -208,17 +206,6 @@ func run(args []string, stdout io.Writer) error {
 		ropts.IntervalEvery = *intervals
 		ropts.IntervalSink = intervalsW
 	}
-	var coord *dist.Coordinator
-	if *workers != "" {
-		coord, err = dist.FromFlag(*workers)
-		if err != nil {
-			return err
-		}
-		if err := coord.Check(context.Background()); err != nil {
-			return err
-		}
-		ropts.Backend = coord
-	}
 	var spanLog *obs.SpanLog
 	if *spansOut != "" || *httpAddr != "" {
 		spanLog = obs.NewSpanLog()
@@ -248,7 +235,6 @@ func run(args []string, stdout io.Writer) error {
 			Manifests: ropts.Manifests,
 			Intervals: ropts.Intervals,
 			Spans:     spanLog,
-			Fleet:     coord,
 		})
 		if err != nil {
 			return err

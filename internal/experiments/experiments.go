@@ -109,9 +109,6 @@ type Options struct {
 	// post-warmup state for every other grid point (see
 	// runner.Options.Checkpoint).
 	Checkpoint bool
-	// Backend, when non-nil, executes each attempt remotely (see
-	// runner.Options.Backend — the distributed coordinator).
-	Backend runner.Backend
 }
 
 // observed reports whether runs should carry probe sets.
@@ -260,7 +257,6 @@ func runGrid(opts Options, configs []core.Config) (map[string]*stats.Set, error)
 		Journal:         opts.Journal,
 		Check:           opts.Check,
 		Checkpoint:      opts.Checkpoint,
-		Backend:         opts.Backend,
 	})
 	if err != nil {
 		// Under KeepGoing a classified job error means "some jobs were

@@ -20,7 +20,6 @@ import (
 	"sort"
 	"time"
 
-	"fdp/internal/dist"
 	"fdp/internal/obs"
 	"fdp/internal/runner"
 )
@@ -38,9 +37,6 @@ type Source struct {
 	// Spans is the campaign span log (wire into runner.Options.Spans); it
 	// feeds /timeline.
 	Spans *obs.SpanLog
-	// Fleet, when distributed execution is on, is the coordinator's live
-	// worker-fleet view; it feeds /workers and the dist_* metrics.
-	Fleet *dist.Coordinator
 }
 
 // Handler builds the monitor's HTTP mux.
@@ -71,9 +67,6 @@ func Handler(src Source) http.Handler {
 	})
 	mux.HandleFunc("/timeline", func(w http.ResponseWriter, r *http.Request) {
 		serveTimeline(w, r, src.Spans)
-	})
-	mux.HandleFunc("/workers", func(w http.ResponseWriter, r *http.Request) {
-		serveWorkers(w, src.Fleet)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -202,23 +195,6 @@ func serveTimeline(w http.ResponseWriter, r *http.Request, log *obs.SpanLog) {
 	enc.Encode(doc)
 }
 
-// serveWorkers renders the distributed fleet's status as JSON. With no
-// coordinator wired (local execution) it serves an empty fleet, so
-// dashboards probe one shape either way.
-func serveWorkers(w http.ResponseWriter, fleet *dist.Coordinator) {
-	snap := dist.FleetSnapshot{}
-	if fleet != nil {
-		snap = fleet.Fleet()
-	}
-	if snap.Workers == nil {
-		snap.Workers = []dist.WorkerStatus{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(snap)
-}
-
 // writeMetrics renders the Prometheus text exposition: the runner_*
 // family from the live Status, then per-run families from every
 // completed run's manifest.
@@ -263,31 +239,6 @@ func writeMetrics(w io.Writer, src Source) {
 		if j.LastBeatMS >= 0 {
 			fmt.Fprintf(w, "runner_job_heartbeat_age_ms{job=%q,attempt=\"%d\"} %d\n", j.Job, j.Attempt, j.LastBeatMS)
 		}
-	}
-	writeFamily(w, "runner_backend_fallbacks", "counter", "Jobs degraded to local execution after losing the backend.")
-	fmt.Fprintf(w, "runner_backend_fallbacks %d\n", s.BackendFallbacks)
-	if src.Fleet != nil {
-		fs := src.Fleet.Fleet()
-		writeFamily(w, "dist_leases", "counter", "Leases assigned to workers.")
-		fmt.Fprintf(w, "dist_leases %d\n", fs.Leases)
-		writeFamily(w, "dist_reassigns", "counter", "Leases reassigned after expiry or failure.")
-		fmt.Fprintf(w, "dist_reassigns %d\n", fs.Reassigns)
-		writeFamily(w, "dist_leases_expired", "counter", "Leases expired for lack of forward progress.")
-		fmt.Fprintf(w, "dist_leases_expired %d\n", fs.Expired)
-		writeFamily(w, "dist_results_corrupt", "counter", "Result envelopes rejected by integrity checks.")
-		fmt.Fprintf(w, "dist_results_corrupt %d\n", fs.Corrupt)
-		writeFamily(w, "dist_results_deduped", "counter", "Valid double-completions deterministically dropped.")
-		fmt.Fprintf(w, "dist_results_deduped %d\n", fs.Duplicates)
-		writeFamily(w, "dist_workers_lost", "counter", "Workers marked lost (skew or repeated failures).")
-		fmt.Fprintf(w, "dist_workers_lost %d\n", fs.WorkersLost)
-		writeFamily(w, "dist_workers_ok", "gauge", "Workers currently usable.")
-		ok := 0
-		for _, ws := range fs.Workers {
-			if ws.State == "ok" {
-				ok++
-			}
-		}
-		fmt.Fprintf(w, "dist_workers_ok %d\n", ok)
 	}
 
 	ms := src.Manifests.All()

@@ -54,19 +54,6 @@ const (
 	// keep-going instead of aborting the pool.
 	SpanQuarantine
 
-	// SpanLease: the job was leased to a remote worker (distributed
-	// backend); the span covers the lease from assignment to its outcome,
-	// with the worker URL in Detail.
-	SpanLease
-	// SpanReassign: event — a lease expired or failed and the job was
-	// handed to another worker (Detail carries the failure class), or the
-	// backend fell back to local execution (Detail "local-fallback").
-	SpanReassign
-	// SpanWorkerLost: event — the coordinator declared a worker dead
-	// (version skew, or too many consecutive failures) and stopped
-	// assigning leases to it.
-	SpanWorkerLost
-
 	numSpanKinds
 )
 
@@ -81,9 +68,6 @@ var spanKindNames = [numSpanKinds]string{
 	SpanRetry:      "retry",
 	SpanWatchdog:   "watchdog",
 	SpanQuarantine: "quarantine",
-	SpanLease:      "lease",
-	SpanReassign:   "reassign",
-	SpanWorkerLost: "worker_lost",
 }
 
 // String returns the JSONL wire name of the kind.

@@ -248,9 +248,7 @@ func (c *Cache) quarantineFile(path string) {
 	}
 }
 
-// writeDisk persists ent atomically (temp file + fsync + rename), so a
-// crash mid-write leaves either the old entry or none — never a torn
-// file — and the rename never publishes data the kernel hasn't flushed.
+// writeDisk persists ent with writeFileAtomic.
 func (c *Cache) writeDisk(ent *cacheEntry) error {
 	payload, err := json.Marshal(diskPayload{Run: ent.run, Manifest: ent.manifest})
 	if err != nil {
@@ -266,25 +264,43 @@ func (c *Cache) writeDisk(ent *cacheEntry) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(c.dir, "."+ent.key+".tmp*")
+	return writeFileAtomic(c.path(ent.key), append(b, '\n'))
+}
+
+// writeFileAtomic publishes b at path durably: temp file in the same
+// directory + fsync + rename + directory fsync. A crash mid-write leaves
+// either the old file or none — never a torn one — the rename never
+// publishes data the kernel hasn't flushed, and the directory fsync makes
+// the rename itself survive a power loss.
+func writeFileAtomic(path string, b []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(b)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
+	d, err := os.Open(dir)
+	if err != nil {
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
-	return os.Rename(tmp.Name(), c.path(ent.key))
+	return err
 }
 
 // copyRun deep-copies a run record so cached state cannot alias caller

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"fdp/internal/obs"
@@ -124,6 +125,33 @@ func TestCacheDiskRoundTrip(t *testing.T) {
 	}
 	if gotM == nil || gotM.Counters["run.cycles"] != 100 {
 		t.Fatalf("disk manifest corrupted: %+v", gotM)
+	}
+}
+
+// TestCacheDiskWritesLeaveNoTemp: a result Put and a PutCheckpoint on a
+// disk cache each publish exactly their final file; the temp files they
+// write through are renamed away, never left behind.
+func TestCacheDiskWritesLeaveNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewCache(4, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Put("k", testRun("a", 100), nil)
+	c.PutCheckpoint("k", []byte("post-warmup state bytes"))
+	if _, _, errs := c.Stats(); errs != 0 {
+		t.Fatalf("%d disk write errors", errs)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if want := []string{"k.json", "k.json.ckpt"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("cache dir holds %q, want %q", names, want)
 	}
 }
 

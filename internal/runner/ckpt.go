@@ -137,8 +137,8 @@ func (c *Cache) loadCkptDisk(key string) []byte {
 	return d.Data
 }
 
-// writeCkptDisk persists the checkpoint atomically, same temp+fsync+rename
-// discipline as writeDisk (caller holds the lock).
+// writeCkptDisk persists the checkpoint with writeFileAtomic (caller
+// holds the lock).
 func (c *Cache) writeCkptDisk(key string, data []byte) error {
 	b, err := json.Marshal(ckptDiskEntry{
 		Schema: ckptSchema,
@@ -150,25 +150,7 @@ func (c *Cache) writeCkptDisk(key string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(c.dir, "."+key+".ckpt.tmp*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), c.ckptPath(key))
+	return writeFileAtomic(c.ckptPath(key), append(b, '\n'))
 }
 
 // ckptGroup deduplicates concurrent checkpoint builds within one Execute

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"strconv"
-	"syscall"
 	"time"
 
 	"fdp/internal/core"
@@ -83,12 +81,7 @@ func (e *Error) Error() string {
 func (e *Error) Unwrap() error { return e.Err }
 
 // Classify maps an arbitrary job error onto the taxonomy. A runner *Error
-// keeps its embedded class; raw errors are classified by cause. Network
-// weather — timeouts (context.DeadlineExceeded included), refused or
-// reset connections, broken pipes — is transient: the distributed backend
-// surfaces exactly these when a worker dies or a link flaps, and a retry
-// against a surviving worker can succeed where the deterministic
-// simulator could not.
+// keeps its embedded class; raw errors are classified by cause.
 func Classify(err error) ErrClass {
 	var re *Error
 	if errors.As(err, &re) {
@@ -101,34 +94,9 @@ func Classify(err error) ErrClass {
 		return ClassTransient
 	case errors.Is(err, ErrHung), errors.Is(err, core.ErrInvariant):
 		return ClassFatal
-	case errors.Is(err, context.DeadlineExceeded):
-		// A deadline is a timeout. Note that Execute's cancellation-
-		// casualty check runs before classification, so a caller-imposed
-		// deadline never reaches this line; what does is a per-attempt or
-		// per-request timeout, which retrying may well beat.
-		return ClassTransient
-	case isNetTransient(err):
-		return ClassTransient
 	default:
 		return ClassFatal
 	}
-}
-
-// isNetTransient reports whether err is network weather worth retrying:
-// a net.Error timeout, any net.OpError (dial/read/write failures), or
-// the raw connection errnos those typically wrap.
-func isNetTransient(err error) bool {
-	var nerr net.Error
-	if errors.As(err, &nerr) && nerr.Timeout() {
-		return true
-	}
-	var operr *net.OpError
-	if errors.As(err, &operr) {
-		return true
-	}
-	return errors.Is(err, syscall.ECONNREFUSED) ||
-		errors.Is(err, syscall.ECONNRESET) ||
-		errors.Is(err, syscall.EPIPE)
 }
 
 // RetryPolicy bounds re-execution of transiently failed jobs:
@@ -192,10 +160,9 @@ func (p RetryPolicy) Backoff(retry int, seed uint64) time.Duration {
 	return half + time.Duration(rng.Uint64()%uint64(half))
 }
 
-// BackoffSeed derives the deterministic jitter seed from a spec key (the
-// leading 16 hex digits of the content hash). Exported so alternative
-// backends (internal/dist) reassign with the same reproducible jitter.
-func BackoffSeed(key string) uint64 {
+// backoffSeed derives the deterministic jitter seed from a spec key (the
+// leading 16 hex digits of the content hash).
+func backoffSeed(key string) uint64 {
 	if len(key) < 16 {
 		return 0
 	}

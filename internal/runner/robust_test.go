@@ -61,7 +61,7 @@ func contains(s, sub string) bool {
 // [Base/2 * 2^k, Cap].
 func TestBackoffDeterministic(t *testing.T) {
 	p := RetryPolicy{Attempts: 5, Base: 10 * time.Millisecond, Cap: 80 * time.Millisecond}.normalized()
-	seed := BackoffSeed("00ff00ff00ff00ff" + "0000000000000000000000000000000000000000000000000000000000000000"[:48])
+	seed := backoffSeed("00ff00ff00ff00ff" + "0000000000000000000000000000000000000000000000000000000000000000"[:48])
 	for retry := 1; retry <= 4; retry++ {
 		a := p.Backoff(retry, seed)
 		b := p.Backoff(retry, seed)
@@ -346,5 +346,115 @@ func TestExecuteJournalResume(t *testing.T) {
 	}
 	if j2.Len() != len(specs) {
 		t.Fatalf("journal has %d keys after resume, want %d", j2.Len(), len(specs))
+	}
+}
+
+// TestBackoffGolden pins the jitter stream. The seed and the attempt
+// are both avalanche-mixed before combining; the previous linear fold
+// (seed ^ retry*gamma) correlated the per-retry streams (with seed 0,
+// retry r's successor state is retry r+1's start). These values changing
+// silently would un-reproduce every recorded chaos run.
+func TestBackoffGolden(t *testing.T) {
+	p := RetryPolicy{Attempts: 8, Base: 10 * time.Millisecond, Cap: 80 * time.Millisecond}.normalized()
+	golden := map[uint64][]time.Duration{
+		0:                               {9531820, 18170038, 27157327, 66494007, 74031684, 47289282},
+		backoffSeed("00ff00ff00ff00ff"): {6119165, 11282630, 31760126, 54478556, 43317190, 40908209},
+	}
+	for seed, want := range golden {
+		for i, w := range want {
+			if got := p.Backoff(i+1, seed); got != w {
+				t.Errorf("seed %d retry %d: backoff %d, want %d", seed, i+1, got, w)
+			}
+		}
+	}
+	// Once the exponential step saturates at Cap, consecutive attempts
+	// draw from the same range — distinct draws are pure jitter quality.
+	seen := map[time.Duration]int{}
+	for r := 4; r <= 8; r++ { // step capped at 80ms from retry 4 on
+		seen[p.Backoff(r, 0)]++
+	}
+	for d, n := range seen {
+		if n > 1 {
+			t.Errorf("capped attempts repeated jitter value %v ×%d", d, n)
+		}
+	}
+}
+
+// TestExecuteKeepGoingWatchdogQuarantine is the keep-going × watchdog ×
+// journal interplay contract: a job hung past the watchdog deadline is
+// quarantined exactly once — one errored slot in the results, one
+// quarantine count — and its key must NOT enter the completion journal,
+// so a resume re-simulates it instead of trusting a cache entry that
+// never existed.
+func TestExecuteKeepGoingWatchdogQuarantine(t *testing.T) {
+	specs := smallSpecs(t)
+	dir := t.TempDir()
+	cache, err := NewCache(0, dir+"/cache")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr := openTestJournal(t, dir+"/run.wal")
+	st := &Status{}
+	reg := obs.NewRegistry()
+	results, err := Execute(context.Background(), specs, Options{
+		Parallel:        2,
+		Cache:           cache,
+		Journal:         jr,
+		Status:          st,
+		Reg:             reg,
+		KeepGoing:       true,
+		WatchdogTimeout: 400 * time.Millisecond,
+		FaultHook: func(ctx context.Context, job, attempt int) error {
+			if job == 0 {
+				<-ctx.Done()
+				return ctx.Err()
+			}
+			return nil
+		},
+	})
+	var re *Error
+	if !errors.As(err, &re) || !errors.Is(err, ErrHung) {
+		t.Fatalf("want a classified hung-job error, got %v", err)
+	}
+	hung := 0
+	for i, r := range results {
+		if i == 0 {
+			if r.Err == nil || r.Run != nil {
+				t.Fatalf("hung job: err=%v run=%v", r.Err, r.Run)
+			}
+			hung++
+			continue
+		}
+		if r.Err != nil || r.Run == nil {
+			t.Fatalf("healthy job %d did not survive keep-going: %v", i, r.Err)
+		}
+	}
+	if hung != 1 {
+		t.Fatalf("hung job appears %d times in results, want exactly 1", hung)
+	}
+	if got := reg.Counter(MetricQuarantined).Value(); got != 1 {
+		t.Fatalf("runner_jobs_quarantined = %d, want exactly 1", got)
+	}
+	if st.Quarantined.Load() != 1 || st.Watchdog.Load() != 1 {
+		t.Fatalf("status quarantined=%d watchdog=%d, want 1/1", st.Quarantined.Load(), st.Watchdog.Load())
+	}
+	if jr.Done(specs[0].Key()) {
+		t.Fatal("journal marked the quarantined job's key done — a resume would trust a result that was never produced")
+	}
+	if jr.Len() != len(specs)-1 {
+		t.Fatalf("journal has %d keys, want %d", jr.Len(), len(specs)-1)
+	}
+
+	// Resume contract: the quarantined spec re-simulates (no cache trust),
+	// the healthy ones replay from cache.
+	reg2 := obs.NewRegistry()
+	if _, err := Execute(context.Background(), specs, Options{Parallel: 2, Cache: cache, Journal: jr, Reg: reg2}); err != nil {
+		t.Fatal(err)
+	}
+	if hits := reg2.Counter(MetricCacheHits).Value(); hits != uint64(len(specs)-1) {
+		t.Fatalf("resume served %d hits, want %d", hits, len(specs)-1)
+	}
+	if misses := reg2.Counter(MetricCacheMisses).Value(); misses != 1 {
+		t.Fatalf("resume re-simulated %d jobs, want exactly 1 (the quarantined one)", misses)
 	}
 }

@@ -105,16 +105,6 @@ type Options struct {
 	// harness. A returned error fails the attempt; a panic is handled
 	// like a simulation panic.
 	FaultHook func(ctx context.Context, job, attempt int) error
-	// Backend, when non-nil, executes attempts somewhere other than the
-	// in-process simulator (the distributed coordinator, internal/dist).
-	// Execute keeps owning the cache, journal, retry policy, watchdog and
-	// quarantine; only the simulation itself is delegated. Attempts that
-	// need non-replayable local side outputs (CacheBypassed: tracing,
-	// interval recording) always run in-process, and the checkpoint group
-	// is disabled — workers resolve their own warmup. A backend error
-	// wrapping ErrBackendUnavailable degrades that attempt to local
-	// execution instead of failing it.
-	Backend Backend
 }
 
 // CacheBypassed reports whether the options force cache bypass: tracing
@@ -171,10 +161,7 @@ func Execute(ctx context.Context, specs []Spec, opts Options) ([]Result, error) 
 	}
 
 	var ckpts *ckptGroup
-	if opts.Checkpoint && opts.Cache != nil && opts.Backend == nil {
-		// With a remote backend the post-warmup state lives wherever the
-		// worker runs; the coordinator-side checkpoint group would only
-		// serialize jobs against snapshots nobody here consumes.
+	if opts.Checkpoint && opts.Cache != nil {
 		ckpts = newCkptGroup()
 	}
 
@@ -251,7 +238,7 @@ func Execute(ctx context.Context, specs []Spec, opts Options) ([]Result, error) 
 		}
 
 		policy := opts.Retry.normalized()
-		seed := BackoffSeed(sp.Key())
+		seed := backoffSeed(sp.Key())
 		var lastErr error
 		for attempt := 1; attempt <= policy.Attempts; attempt++ {
 			res, snap, restored, err := runAttempt(ctx, sp, i, attempt, label, opts, wd, &sinkMu, ckptRestore, ckptBuild)
@@ -355,34 +342,6 @@ func runAttempt(ctx context.Context, sp *Spec, i, attempt int, label string, opt
 	if opts.FaultHook != nil {
 		if ferr := opts.FaultHook(attemptCtx, i, attempt); ferr != nil {
 			return Result{}, nil, false, hungOr(attemptCtx, ferr)
-		}
-	}
-
-	// Remote dispatch: hand the spec to the backend and fold its result
-	// into the normal attempt flow. The heartbeat is shared, so the
-	// watchdog supervises remote progress exactly like local cycles; the
-	// error comes back through the same classification the retry loop
-	// applies to local failures. ErrBackendUnavailable alone falls
-	// through to local execution — the every-worker-lost degradation.
-	if opts.Backend != nil && !opts.CacheBypassed() {
-		run, m, berr := opts.Backend.Run(attemptCtx, BackendJob{
-			Spec: sp, Key: sp.Key(), Index: i, Attempt: attempt, Label: label,
-			Observe: opts.Observe, Check: opts.Check, Heartbeat: hb, Spans: opts.Spans,
-		})
-		switch {
-		case berr == nil:
-			if run != nil {
-				run.Class = sp.Class
-			}
-			if m != nil {
-				opts.Manifests.Add(m)
-			}
-			return Result{Run: run, Manifest: m}, nil, false, nil
-		case errors.Is(berr, ErrBackendUnavailable):
-			opts.Spans.Event(label, i, attempt, obs.SpanReassign, "local-fallback", berr.Error())
-			opts.Status.backendFallback()
-		default:
-			return Result{}, nil, false, hungOr(attemptCtx, berr)
 		}
 	}
 

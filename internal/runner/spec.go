@@ -62,13 +62,6 @@ type Spec struct {
 	// every pre-refactor cache key is unchanged.
 	SpecHash string
 
-	// SpecDoc is the canonical encoded workload-spec document
-	// (wspec.Spec.Encode) for spec-defined workloads, "" for built-ins.
-	// It is NOT part of the identity — SpecHash already pins the content
-	// — but the distributed backend ships it so a worker can compile the
-	// exact same scenario and verify it hashes to SpecHash.
-	SpecDoc string
-
 	// NewOracle produces a fresh oracle for the stream. It is the
 	// execution handle only — never part of the identity hash — and must
 	// yield the same instruction sequence every call (synth streams and
@@ -87,7 +80,6 @@ func WorkloadSpec(cfg core.Config, w *synth.Workload, warmup, measure uint64) Sp
 		Warmup:   warmup,
 		Measure:  measure,
 		SpecHash: w.SpecHash,
-		SpecDoc:  w.SpecDoc,
 		NewOracle: func() core.Oracle {
 			return w.NewStream()
 		},

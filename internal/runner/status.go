@@ -48,9 +48,6 @@ type Status struct {
 	CheckpointHits     atomic.Int64
 	CheckpointMisses   atomic.Int64
 	CheckpointRestores atomic.Int64
-	// BackendFallbacks counts attempts the distributed backend declined
-	// (every worker lost) that re-ran on the local in-process path.
-	BackendFallbacks atomic.Int64
 
 	mu   sync.Mutex
 	jobs map[int]*jobStatus
@@ -94,10 +91,6 @@ type StatusSnapshot struct {
 	CheckpointHits     int64 `json:"checkpoint_hits"`
 	CheckpointMisses   int64 `json:"checkpoint_misses"`
 	CheckpointRestores int64 `json:"checkpoint_restores"`
-	// BackendFallbacks counts attempts degraded from the distributed
-	// backend to local execution (nonzero means the fleet was lost at
-	// some point but the campaign kept producing results).
-	BackendFallbacks int64 `json:"backend_fallbacks,omitempty"`
 	// Jobs lists the in-flight attempts with their last-heartbeat age —
 	// a stalling job shows up as a growing last_beat_ms before the
 	// watchdog fires.
@@ -142,7 +135,6 @@ func (s *Status) Snapshot() StatusSnapshot {
 		CheckpointHits:     s.CheckpointHits.Load(),
 		CheckpointMisses:   s.CheckpointMisses.Load(),
 		CheckpointRestores: s.CheckpointRestores.Load(),
-		BackendFallbacks:   s.BackendFallbacks.Load(),
 	}
 	if q := snap.Specs - snap.Started; q > 0 {
 		snap.Queued = q
@@ -253,12 +245,6 @@ func (s *Status) checkpointMiss() {
 func (s *Status) checkpointRestored() {
 	if s != nil {
 		s.CheckpointRestores.Add(1)
-	}
-}
-
-func (s *Status) backendFallback() {
-	if s != nil {
-		s.BackendFallbacks.Add(1)
 	}
 }
 

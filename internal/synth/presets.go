@@ -151,7 +151,6 @@ func compileBuiltins(seedOffset uint64) []*Workload {
 			panic(err) // built-in specs are known valid
 		}
 		w.SpecHash = ""
-		w.SpecDoc = ""
 		ws = append(ws, w)
 	}
 	return ws

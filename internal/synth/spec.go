@@ -163,7 +163,6 @@ func FromSpec(sp *wspec.Spec) (*Workload, error) {
 			return nil, err
 		}
 		w.SpecHash = sp.Hash()
-		w.SpecDoc = string(sp.Encode())
 		w.comps[0].Label = c.label
 		return w, nil
 	}
@@ -190,8 +189,8 @@ func FromSpec(sp *wspec.Spec) (*Workload, error) {
 			compStats = append(compStats, ComponentStat{
 				Phase: pi, PhaseStart: at, Index: ci, Label: c.label,
 				Weight: c.weight, Seed: c.seed, Entry: entry,
-				Insts: len(info) - lo,
-				Bytes: uint64(len(info)-lo) * program.InstBytes,
+				Insts:          len(info) - lo,
+				Bytes:          uint64(len(info)-lo) * program.InstBytes,
 				StaticBranches: countBranches(img, lo, len(info)),
 				HotFraction:    c.p.HotFraction,
 			})
@@ -203,7 +202,6 @@ func FromSpec(sp *wspec.Spec) (*Workload, error) {
 	}
 	return &Workload{
 		Name: sp.Name, Class: sp.Class, Seed: sp.Seed, SpecHash: sp.Hash(),
-		SpecDoc: string(sp.Encode()),
 		img: img, info: info, entry: runPhases[0].comps[0].entry, base: imageBase,
 		phases: runPhases, switchEvery: sp.SwitchEvery, seedRanges: ranges,
 		comps: compStats,

@@ -145,11 +145,6 @@ type Workload struct {
 	// identity; built-ins keep the empty hash so their keys are stable
 	// across the spec refactor.
 	SpecHash string
-	// SpecDoc is the canonical encoded spec document (wspec.Encode) the
-	// workload was compiled from, "" for built-ins. Not identity — the
-	// hash covers the content — but the distributed runner ships it so a
-	// remote worker can recompile the identical scenario.
-	SpecDoc string
 
 	img   *program.Image
 	info  []branchInfo // parallel to image instructions
