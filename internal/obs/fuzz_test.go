@@ -84,6 +84,11 @@ func FuzzSpanJSONL(f *testing.F) {
 	f.Add([]byte(`{"r":"a/b","j":0,"a":0,"k":"queued","s":0,"d":0}`))
 	f.Add([]byte(`{"r":"x","j":1,"a":2,"k":"nope","s":3,"d":4}`))
 	f.Add([]byte(`not json`))
+	// Kind names retired with distributed execution: trace files written
+	// before then may still carry them, and they must be rejected cleanly.
+	for _, k := range []string{"lease", "reassign", "worker_lost"} {
+		f.Add([]byte(`{"r":"a/b","j":1,"a":0,"k":"` + k + `","s":10,"d":5,"m":"http://w1"}`))
+	}
 
 	f.Fuzz(func(t *testing.T, line []byte) {
 		sp, err := ParseSpan(line)

@@ -23,6 +23,11 @@ func TestSpanKindNames(t *testing.T) {
 	if _, ok := SpanKindFromString("nope"); ok {
 		t.Fatal("unknown name resolved")
 	}
+	for _, retired := range []string{"lease", "reassign", "worker_lost"} {
+		if _, ok := SpanKindFromString(retired); ok {
+			t.Fatalf("retired kind %q still resolves", retired)
+		}
+	}
 	if got := SpanKind(200).String(); got != "SpanKind(200)" {
 		t.Fatalf("out-of-range String = %q", got)
 	}
