@@ -33,6 +33,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzCheckpoint -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzScorecardJSON -fuzztime=$(FUZZTIME) ./internal/repro
 	$(GO) test -run=^$$ -fuzz=FuzzWorkloadSpec -fuzztime=$(FUZZTIME) ./internal/wspec
+	$(GO) test -run=^$$ -fuzz=FuzzHistoryFolds -fuzztime=$(FUZZTIME) ./internal/bpred
 
 # Benchmark knobs: BENCHTIME bounds the go-test benchmarks (1x keeps the
 # 17-benchmark sweep fast; raise for stable numbers), BENCHREPS is the

@@ -24,16 +24,16 @@ const (
 // SaveState encodes the raw history bits and every folded register.
 func (h *History) SaveState(w *ckpt.Writer) {
 	w.Tag(tagHistory)
-	w.U64s(h.bits[:])
-	w.U32s(h.vals)
+	w.U64s(h.st.bits[:histWords])
+	w.U32s(h.Folds())
 }
 
 // LoadState restores state written by SaveState into a History built with
 // the same FoldSpecs.
 func (h *History) LoadState(r *ckpt.Reader) {
 	r.Tag(tagHistory)
-	r.U64s(h.bits[:])
-	r.U32s(h.vals)
+	r.U64s(h.st.bits[:histWords])
+	r.U32s(h.Folds())
 }
 
 // SaveState encodes the bimodal counters, every tagged entry, the

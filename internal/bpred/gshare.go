@@ -46,7 +46,7 @@ func (g *Gshare) Bind(base int) { g.foldBase = base }
 func (g *Gshare) StorageBits() int { return len(g.counters) * 2 }
 
 func (g *Gshare) index(pc uint64, h *History) uint32 {
-	return (uint32(pc>>2) ^ h.Folded(g.foldBase)) & (1<<uint(g.idxBits) - 1)
+	return (uint32(pc>>2) ^ h.Folds()[g.foldBase]) & (1<<uint(g.idxBits) - 1)
 }
 
 // Predict implements DirPredictor.

@@ -12,6 +12,16 @@ const HistoryBits = 320
 
 const histWords = HistoryBits / 64
 
+// rawWords pads the raw register to a power of two so that every word
+// index the insert loops compute can be masked into range instead of
+// bounds-checked. Words histWords and up are never written and stay zero;
+// they are not part of a checkpoint.
+const rawWords = 8
+
+// maxFolds is the capacity of a History's inline folded-register array.
+// The largest shipped fold set (TAGE-SC-L-64KB plus ITTAGE) has 41.
+const maxFolds = 48
+
 // FoldSpec describes one folded view of the global history: the low Length
 // bits folded (by XOR of Width-bit chunks, with rotation) into Width bits.
 // Predictor tables register the FoldSpecs they need at construction time.
@@ -20,24 +30,39 @@ type FoldSpec struct {
 	Width  int // folded register width in bits (2..31)
 }
 
-// fold packs every constant InsertBit needs for one FoldSpec into one
-// struct so the insert loop reads a single contiguous array. The mutable
-// folded values live in a separate dense uint32 slice (History.vals): the
-// insert loop streams both arrays, and snapshots of all ~38 folded
-// registers collapse to one memcopy. A TAGE-18KB + ITTAGE frontend inserts
-// history bits on every predicted taken branch and snapshots on every
-// predicted block, so both layouts matter.
+// fold holds the constants one folded register's update needs.
+//
+// An insert of k bits (k = 1 or 2) shifts the register left by k, wraps
+// the k overflow bits back to position 0, XORs in the inserted bits and
+// removes the raw bits that left the Length-bit window. Those outgoing
+// bits sit at raw positions Length and Length+1 after the shift; the
+// fold's group reads them once per insert as a 2-bit value o (bit 0 =
+// position Length), and term[o] is their precomputed contribution: bit
+// Length leaves from Length mod Width, and bit Length+1, which the first
+// step of a 2-bit insert already moved one slot further, from
+// (Length+1) mod Width. A 1-bit insert reads only position Length, so o
+// is 0 or 1 and term[1] is exactly its removal.
 type fold struct {
-	mask uint32 // (1 << Width) - 1
-	// Outgoing-bit positions, precomputed as word/shift pairs into the raw
-	// bits array: position Length (out0, read after a 1-bit shift and by
-	// the second step of a 2-bit insert) and Length+1 (out1, read by the
-	// first step of a 2-bit insert, where the departing bit has already
-	// been shifted one position further).
-	outW0, outS0 uint8
-	outW1, outS1 uint8
-	width, rem   uint8 // Width and Length % Width
-	rem1         uint8 // (rem+1) % Width: landing bit of the older insert of a pair
+	mask       uint32 // (1 << Width) - 1
+	mul1, mul2 uint32 // 1<<(32-Width) and 1<<(33-Width): see wrap
+	group      uint8  // index into History.groups
+	term       [4]uint32
+}
+
+// foldGroup is one run of consecutive folds over the same history Length
+// (TAGE's index/tag/tag' triple, ITTAGE's index/tag pair). Its folds
+// share the outgoing raw bits, read once per insert: w0 and w1 are the
+// words holding raw bits Length and Length+1, and s is Length's shift
+// within w0.
+type foldGroup struct {
+	w0, w1, s uint8
+}
+
+// histState is everything an insert mutates, kept inline so that a
+// snapshot, a restore and a copy are each one fixed-size struct copy.
+type histState struct {
+	bits [rawWords]uint64 // newest bit is bit 0 of word 0
+	vals [maxFolds]uint32 // folded registers, in FoldSpec order
 }
 
 // History is the speculative (or architectural) global history: raw bits
@@ -50,14 +75,16 @@ type fold struct {
 // folded to two bits per event so the register remains a pure shift
 // register, preserving O(1) folded updates).
 type History struct {
-	bits  [histWords]uint64
-	specs []FoldSpec
-	folds []fold
-	vals  []uint32 // current folded register values, parallel to folds
+	st     histState
+	groups []foldGroup
+	folds  []fold
 }
 
 // NewHistory creates a History maintaining the given folded views.
 func NewHistory(specs []FoldSpec) *History {
+	if len(specs) > maxFolds {
+		panic("bpred: too many FoldSpecs")
+	}
 	for _, s := range specs {
 		// Length+1 must also be a valid raw-bit position (the fused 2-bit
 		// insert reads it), hence the HistoryBits-1 bound.
@@ -71,92 +98,97 @@ func NewHistory(specs []FoldSpec) *History {
 			panic("bpred: FoldSpec.Width out of range")
 		}
 	}
-	h := &History{specs: specs, folds: make([]fold, len(specs)), vals: make([]uint32, len(specs))}
+	h := &History{folds: make([]fold, len(specs))}
 	for i, s := range specs {
-		h.folds[i] = fold{
-			mask:  1<<uint(s.Width) - 1,
-			outW0: uint8(s.Length >> 6),
-			outS0: uint8(s.Length & 63),
-			outW1: uint8((s.Length + 1) >> 6),
-			outS1: uint8((s.Length + 1) & 63),
-			width: uint8(s.Width),
-			rem:   uint8(s.Length % s.Width),
-			rem1:  uint8((s.Length%s.Width + 1) % s.Width),
+		rem := uint(s.Length % s.Width)
+		rem1 := uint((s.Length + 1) % s.Width)
+		f := &h.folds[i]
+		f.mask = 1<<uint(s.Width) - 1
+		f.mul1, f.mul2 = 1<<uint(32-s.Width), 1<<uint(33-s.Width)
+		for o := range f.term {
+			f.term[o] = uint32(o&1)<<rem ^ uint32(o>>1)<<rem1
 		}
+		if i == 0 || specs[i-1].Length != s.Length {
+			h.groups = append(h.groups, foldGroup{
+				w0: uint8(s.Length >> 6),
+				w1: uint8((s.Length + 1) >> 6),
+				s:  uint8(s.Length & 63),
+			})
+		}
+		f.group = uint8(len(h.groups) - 1)
 	}
 	return h
 }
 
-// NumFolds returns the number of folded registers.
-func (h *History) NumFolds() int { return len(h.folds) }
-
-// Folded returns the current value of folded register i.
-func (h *History) Folded(i int) uint32 { return h.vals[i] }
+// Folds returns every folded register, in FoldSpec order. Predictors read
+// their registers from this slice; it aliases the live state and is only
+// valid until the next insert or restore.
+func (h *History) Folds() []uint32 { return h.st.vals[:len(h.folds)] }
 
 // Bit returns raw history bit p (0 = newest).
 func (h *History) Bit(p int) uint32 {
-	return uint32(h.bits[p>>6]>>(uint(p)&63)) & 1
+	return uint32(h.st.bits[p>>6]>>(uint(p)&63)) & 1
 }
 
-// foldStep advances one folded register value by one inserted bit b,
-// removing the outgoing raw bit found at word outW / shift outS.
-func foldStep(f *fold, bits *[histWords]uint64, val, b uint32, outW, outS uint8) uint32 {
-	comp := val
-	comp = comp<<1 | b
-	comp ^= comp >> f.width // wrap the overflow bit to position 0
-	comp &= f.mask
-	// Remove the bit that left the Length-bit window.
-	out := uint32(bits[outW]>>outS) & 1
-	comp ^= out << f.rem
-	return comp
-}
+// wrap returns v >> (Width-k) for a fold's mul = 1<<(31-Width+k): the k
+// overflow bits a k-bit shift pushes out of the register, moved to the
+// bottom. A multiply takes the place of a variable shift, which on amd64
+// must go through CX and forces the insert loops to spill.
+func wrap(v, mul uint32) uint32 { return uint32(uint64(v) * uint64(mul) >> 31) }
 
 // InsertBit shifts one bit into the history and updates all folded views.
 func (h *History) InsertBit(b uint32) {
+	bits := &h.st.bits
 	for i := histWords - 1; i > 0; i-- {
-		h.bits[i] = h.bits[i]<<1 | h.bits[i-1]>>63
+		bits[i] = bits[i]<<1 | bits[i-1]>>63
 	}
-	h.bits[0] = h.bits[0]<<1 | uint64(b&1)
 	b &= 1
+	bits[0] = bits[0]<<1 | uint64(b)
+	var outs [64]uint8 // outgoing bit per group; maxFolds < 64 bounds the groups
+	for gi := range h.groups {
+		g := &h.groups[gi]
+		outs[gi&63] = uint8(bits[g.w0&(rawWords-1)]>>(g.s&63)) & 1
+	}
 	folds := h.folds
-	vals := h.vals
+	vals := h.st.vals[:len(folds)]
 	for i := range folds {
 		f := &folds[i]
-		vals[i] = foldStep(f, &h.bits, vals[i], b, f.outW0, f.outS0)
+		v := vals[i]
+		vals[i] = (v<<1^wrap(v, f.mul1))&f.mask ^ b ^ f.term[outs[f.group&63]&3]
 	}
 }
 
 // insertBits2 shifts two bits into the history (b1 older, b0 newest) and
 // updates all folded views, equivalent to InsertBit(b1); InsertBit(b0) but
-// with a single raw-register shift and one fused fold step per register.
+// with a single raw-register shift, one 2-bit outgoing read per group and
+// one fused step per register.
 //
 // The fusion relies on the fold being GF(2)-linear: shifting the register
 // by two leaves the two overflow bits at positions Width and Width+1, and
-// one XOR with the register shifted right by Width wraps both to positions
-// 0 and 1 at once (this is why Width >= 2). The two outgoing raw bits sat
-// at positions Length-1 and Length-2 before the combined shift, i.e.
-// Length+1 and Length after it; the older one is removed at the rotated
-// position (rem+1) mod Width because the second shift moved its slot.
+// wrap moves both to positions 0 and 1 at once (this is why Width >= 2).
+// The outgoing pair is read across a word boundary without a branch:
+// w1's word shifted left by 1 + (63 - s) lands bit Length+1 at position 1
+// exactly when s = 63, and beyond position 1 otherwise.
 func (h *History) insertBits2(b1, b0 uint32) {
+	bits := &h.st.bits
 	for i := histWords - 1; i > 0; i-- {
-		h.bits[i] = h.bits[i]<<2 | h.bits[i-1]>>62
+		bits[i] = bits[i]<<2 | bits[i-1]>>62
 	}
-	h.bits[0] = h.bits[0]<<2 | uint64(b1&1)<<1 | uint64(b0&1)
 	ins := (b1&1)<<1 | b0&1
+	bits[0] = bits[0]<<2 | uint64(ins)
+	var outs [64]uint8 // outgoing bit pair per group
+	for gi := range h.groups {
+		g := &h.groups[gi]
+		lo := bits[g.w0&(rawWords-1)] >> (g.s & 63)
+		hi := bits[g.w1&(rawWords-1)] << 1 << ((63 - g.s) & 63)
+		outs[gi&63] = uint8(lo|hi) & 3
+	}
 	folds := h.folds
-	vals := h.vals
-	bits := &h.bits
+	vals := h.st.vals[:len(folds)]
 	for i := range folds {
 		f := &folds[i]
-		out1 := uint32(bits[f.outW1]>>f.outS1) & 1
-		out0 := uint32(bits[f.outW0]>>f.outS0) & 1
 		v := vals[i]
-		v = v<<2 | ins
-		v ^= v >> f.width // wrap both overflow bits in one XOR
-		v &= f.mask
-		v ^= out1 << f.rem1
-		v ^= out0 << f.rem
-		vals[i] = v
+		vals[i] = (v<<2^wrap(v, f.mul2))&f.mask ^ ins ^ f.term[outs[f.group&63]&3]
 	}
 }
 
@@ -188,52 +220,21 @@ func (h *History) InsertTaken(pc, target uint64) {
 	h.insertBits2(hash>>1, hash&1)
 }
 
-// Snapshot is a saved History state. The folded slice is owned by the
-// snapshot and reused across saves, so snapshots are cheap in steady state.
+// Snapshot is a saved History state, held inline: saving, restoring and
+// embedding one (every FTQ entry carries one) needs no allocation.
 type Snapshot struct {
-	bits   [histWords]uint64
-	folded []uint32
+	st histState
 }
 
-// Save copies the current state into s (allocating s.folded on first use).
-func (h *History) Save(s *Snapshot) {
-	s.bits = h.bits
-	if cap(s.folded) < len(h.vals) {
-		s.folded = make([]uint32, len(h.vals))
-	}
-	s.folded = s.folded[:len(h.vals)]
-	copy(s.folded, h.vals)
-}
+// Save copies the current state into s.
+func (h *History) Save(s *Snapshot) { s.st = h.st }
 
 // Restore sets the history back to a previously saved state. The snapshot
 // must come from a History with the same FoldSpecs.
-func (h *History) Restore(s *Snapshot) {
-	h.bits = s.bits
-	copy(h.vals, s.folded)
-}
+func (h *History) Restore(s *Snapshot) { h.st = s.st }
 
 // CopyFrom makes h identical to src (same FoldSpecs required).
-func (h *History) CopyFrom(src *History) {
-	h.bits = src.bits
-	copy(h.vals, src.vals)
-}
+func (h *History) CopyFrom(src *History) { h.st = src.st }
 
 // Reset clears all history.
-func (h *History) Reset() {
-	h.bits = [histWords]uint64{}
-	for i := range h.vals {
-		h.vals[i] = 0
-	}
-}
-
-// FoldBrute computes the folded view from the raw bits directly (bit p of
-// the low Length bits contributes to folded bit p mod Width). It is the
-// specification the incremental registers are tested against and is also
-// used when a predictor needs an ad-hoc fold it did not register.
-func (h *History) FoldBrute(s FoldSpec) uint32 {
-	var comp uint32
-	for p := 0; p < s.Length; p++ {
-		comp ^= h.Bit(p) << (uint(p) % uint(s.Width))
-	}
-	return comp
-}
+func (h *History) Reset() { h.st = histState{} }

@@ -13,6 +13,8 @@ func TestNewHistoryValidation(t *testing.T) {
 		{Length: HistoryBits, Width: 10},
 		{Length: 10, Width: 0},
 		{Length: 10, Width: 32},
+		{Length: HistoryBits - 1, Width: 10},
+		{Length: 10, Width: 1},
 	} {
 		func() {
 			defer func() {
@@ -23,6 +25,22 @@ func TestNewHistoryValidation(t *testing.T) {
 			NewHistory([]FoldSpec{s})
 		}()
 	}
+}
+
+func TestNewHistoryCapacity(t *testing.T) {
+	specs := make([]FoldSpec, maxFolds+1)
+	for i := range specs {
+		specs[i] = FoldSpec{Length: 10, Width: 5}
+	}
+	if h := NewHistory(specs[:maxFolds]); len(h.Folds()) != maxFolds {
+		t.Errorf("len(Folds()) = %d, want %d", len(h.Folds()), maxFolds)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewHistory with maxFolds+1 specs did not panic")
+		}
+	}()
+	NewHistory(specs)
 }
 
 func TestInsertBitShiftsRaw(t *testing.T) {
@@ -67,7 +85,7 @@ func TestFoldedMatchesBruteForce(t *testing.T) {
 	for step := 0; step < 2000; step++ {
 		h.InsertBit(uint32(rng.Uint64() & 1))
 		for i, s := range specs {
-			if got, want := h.Folded(i), h.FoldBrute(s); got != want {
+			if got, want := h.Folds()[i], FoldBrute(h, s); got != want {
 				t.Fatalf("step %d spec %+v: folded=%#x brute=%#x", step, s, got, want)
 			}
 		}
@@ -80,7 +98,7 @@ func TestInsertTakenUpdatesFolds(t *testing.T) {
 	rng := xrand.New(7)
 	for i := 0; i < 500; i++ {
 		h.InsertTaken(rng.Uint64()&^3, rng.Uint64()&^3)
-		if got, want := h.Folded(0), h.FoldBrute(specs[0]); got != want {
+		if got, want := h.Folds()[0], FoldBrute(h, specs[0]); got != want {
 			t.Fatalf("after taken %d: folded=%#x brute=%#x", i, got, want)
 		}
 	}
@@ -115,30 +133,39 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	var snap Snapshot
 	h.Save(&snap)
-	want0, want1 := h.Folded(0), h.Folded(1)
+	want0, want1 := h.Folds()[0], h.Folds()[1]
 	for i := 0; i < 57; i++ {
 		h.InsertBit(1)
 	}
 	h.Restore(&snap)
-	if h.Folded(0) != want0 || h.Folded(1) != want1 {
+	if h.Folds()[0] != want0 || h.Folds()[1] != want1 {
 		t.Error("folded registers not restored")
 	}
 	// And the restored state must stay consistent under further inserts.
 	h.InsertBit(1)
-	if h.Folded(1) != h.FoldBrute(specs[1]) {
+	if h.Folds()[1] != FoldBrute(h, specs[1]) {
 		t.Error("restored state inconsistent with raw bits")
 	}
 }
 
+// Snapshots hold their state inline: saving into a fresh Snapshot,
+// restoring and copying allocate nothing.
 func TestSnapshotReusesBuffer(t *testing.T) {
-	h := NewHistory([]FoldSpec{{Length: 10, Width: 5}})
-	var snap Snapshot
-	h.Save(&snap)
-	buf := &snap.folded[0]
-	h.InsertBit(1)
-	h.Save(&snap)
-	if &snap.folded[0] != buf {
-		t.Error("Save reallocated folded buffer")
+	a := NewHistory([]FoldSpec{{Length: 10, Width: 5}, {Length: 200, Width: 12}})
+	b := NewHistory([]FoldSpec{{Length: 10, Width: 5}, {Length: 200, Width: 12}})
+	allocs := testing.AllocsPerRun(100, func() {
+		var snap Snapshot
+		a.InsertTaken(0x1000, 0x2040)
+		a.Save(&snap)
+		a.InsertBit(1)
+		a.Restore(&snap)
+		b.CopyFrom(a)
+	})
+	if allocs != 0 {
+		t.Errorf("Save/Restore/CopyFrom allocated %.1f times per run", allocs)
+	}
+	if b.Folds()[1] != FoldBrute(b, FoldSpec{Length: 200, Width: 12}) {
+		t.Error("copied state inconsistent with raw bits")
 	}
 }
 
@@ -150,11 +177,11 @@ func TestCopyFromAndReset(t *testing.T) {
 		a.InsertBit(1)
 	}
 	b.CopyFrom(a)
-	if b.Folded(0) != a.Folded(0) || b.Bit(3) != a.Bit(3) {
+	if b.Folds()[0] != a.Folds()[0] || b.Bit(3) != a.Bit(3) {
 		t.Error("CopyFrom incomplete")
 	}
 	a.Reset()
-	if a.Folded(0) != 0 || a.Bit(0) != 0 {
+	if a.Folds()[0] != 0 || a.Bit(0) != 0 {
 		t.Error("Reset incomplete")
 	}
 }
@@ -173,23 +200,9 @@ func TestHistoryDeterminism(t *testing.T) {
 			b.Restore(&snap)
 			b.InsertBit(uint32(x) & 1)
 		}
-		return a.Folded(0) == b.Folded(0) && a.bits == b.bits
+		return a.Folds()[0] == b.Folds()[0] && a.st.bits == b.st.bits
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkInsertBit(b *testing.B) {
-	// TAGE-like spec load: 10 tables x 3 folds.
-	var specs []FoldSpec
-	lens := []int{4, 7, 12, 20, 33, 54, 88, 130, 190, 260}
-	for _, l := range lens {
-		specs = append(specs, FoldSpec{l, 11}, FoldSpec{l, 8}, FoldSpec{l, 7})
-	}
-	h := NewHistory(specs)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.InsertBit(uint32(i) & 1)
 	}
 }

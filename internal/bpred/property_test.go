@@ -88,7 +88,7 @@ func TestMixedInsertConsistency(t *testing.T) {
 			}
 		}
 		for i, s := range specs {
-			if h.Folded(i) != h.FoldBrute(s) {
+			if h.Folds()[i] != FoldBrute(h, s) {
 				return false
 			}
 		}
@@ -110,13 +110,13 @@ func TestSnapshotIsExactInverse(t *testing.T) {
 		}
 		var snap Snapshot
 		h.Save(&snap)
-		want0, want1 := h.Folded(0), h.Folded(1)
-		wantBits := h.bits
+		want0, want1 := h.Folds()[0], h.Folds()[1]
+		wantBits := h.st.bits
 		for _, b := range mid {
 			h.InsertBit(uint32(b) & 1)
 		}
 		h.Restore(&snap)
-		return h.Folded(0) == want0 && h.Folded(1) == want1 && h.bits == wantBits
+		return h.Folds()[0] == want0 && h.Folds()[1] == want1 && h.st.bits == wantBits
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -111,7 +111,7 @@ func (p *TAGESCL) StorageBits() int {
 func (t *scTable) index(pc uint64, h *History) uint32 {
 	idx := uint32(pc >> 2)
 	if t.foldIdx >= 0 {
-		idx ^= h.Folded(t.foldIdx)
+		idx ^= h.Folds()[t.foldIdx]
 	}
 	return idx & (1<<uint(t.idxBits) - 1)
 }

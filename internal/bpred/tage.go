@@ -159,18 +159,22 @@ func (t *TAGE) StorageBits() int {
 	return bits
 }
 
-func (t *TAGE) index(i int, pc uint64, h *History) uint32 {
+// regs returns TAGE's folded registers: index, tag and tag' of table i
+// at 3i, 3i+1 and 3i+2.
+func (t *TAGE) regs(h *History) []uint32 {
+	return h.Folds()[t.foldBase : t.foldBase+3*len(t.tables)]
+}
+
+func (t *TAGE) index(i int, pc uint64, regs []uint32) uint32 {
 	tb := &t.tables[i]
-	f := h.Folded(t.foldBase + 3*i)
-	idx := uint32(pc>>2) ^ uint32(pc>>uint(tb.idxShift)) ^ f ^ tb.salt
+	idx := uint32(pc>>2) ^ uint32(pc>>uint(tb.idxShift)) ^ regs[3*i] ^ tb.salt
 	return idx & tb.idxMask
 }
 
-func (t *TAGE) tag(i int, pc uint64, h *History) uint16 {
+func (t *TAGE) tag(i int, pc uint64, regs []uint32) uint16 {
 	tb := &t.tables[i]
-	f1 := h.Folded(t.foldBase + 3*i + 1)
-	f2 := h.Folded(t.foldBase + 3*i + 2)
-	return uint16((uint32(pc>>2) ^ f1 ^ f2<<1) & tb.tagMask)
+	r := regs[3*i+1 : 3*i+3]
+	return uint16((uint32(pc>>2) ^ r[0] ^ r[1]<<1) & tb.tagMask)
 }
 
 func (t *TAGE) bimodalIdx(pc uint64) uint32 {
@@ -181,9 +185,10 @@ func (t *TAGE) bimodalIdx(pc uint64) uint32 {
 // predictions. provider == -1 means bimodal only.
 func (t *TAGE) lookup(pc uint64, h *History) (provider, alt int, provIdx, altIdx uint32) {
 	provider, alt = -1, -1
+	regs := t.regs(h)
 	for i := len(t.tables) - 1; i >= 0; i-- {
-		idx := t.index(i, pc, h)
-		if t.tables[i].entries[idx].tag == t.tag(i, pc, h) {
+		idx := t.index(i, pc, regs)
+		if t.tables[i].entries[idx].tag == t.tag(i, pc, regs) {
 			if provider < 0 {
 				provider, provIdx = i, idx
 			} else {
@@ -294,11 +299,12 @@ func (t *TAGE) allocate(pc uint64, h *History, provider int, taken bool) {
 	if start < len(t.tables)-1 && t.rng.Bool(0.5) {
 		start++
 	}
+	regs := t.regs(h)
 	for i := start; i < len(t.tables); i++ {
-		idx := t.index(i, pc, h)
+		idx := t.index(i, pc, regs)
 		e := &t.tables[i].entries[idx]
 		if e.u == 0 {
-			e.tag = t.tag(i, pc, h)
+			e.tag = t.tag(i, pc, regs)
 			if taken {
 				e.ctr = 0
 			} else {
@@ -309,7 +315,7 @@ func (t *TAGE) allocate(pc uint64, h *History, provider int, taken bool) {
 	}
 	// No free entry: age the candidates.
 	for i := start; i < len(t.tables); i++ {
-		idx := t.index(i, pc, h)
+		idx := t.index(i, pc, regs)
 		if e := &t.tables[i].entries[idx]; e.u > 0 {
 			e.u--
 		}

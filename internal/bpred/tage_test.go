@@ -240,8 +240,8 @@ func TestPredictorMetaMethods(t *testing.T) {
 		}
 		p.Bind(0) // must not panic
 		h := NewHistory(p.Specs())
-		if h.NumFolds() != len(p.Specs()) {
-			t.Errorf("%s: NumFolds %d != specs %d", p.Name(), h.NumFolds(), len(p.Specs()))
+		if len(h.Folds()) != len(p.Specs()) {
+			t.Errorf("%s: len(Folds()) %d != specs %d", p.Name(), len(h.Folds()), len(p.Specs()))
 		}
 		p.Predict(0x40, h)
 		p.Update(0x40, h, true)

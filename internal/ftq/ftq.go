@@ -162,8 +162,8 @@ func (q *FTQ) Full() bool { return q.size == len(q.entries) }
 // Empty reports whether the queue has no entries.
 func (q *FTQ) Empty() bool { return q.size == 0 }
 
-// Push claims the next entry, resetting its hardware fields but keeping
-// its checkpoint buffers for reuse. It panics when full (callers check
+// Push claims the next entry, resetting its hardware fields but leaving
+// its checkpoints, which the caller overwrites. It panics when full (callers check
 // Full; pushing into a full FTQ is a frontend bug).
 func (q *FTQ) Push() *Entry {
 	if q.Full() {
@@ -176,9 +176,10 @@ func (q *FTQ) Push() *Entry {
 	q.size++
 	e := &q.entries[idx]
 	// Reset field by field rather than assigning a fresh Entry literal:
-	// the struct write would copy the Hist/RAS checkpoint buffers out and
-	// back (a ~200-byte duffcopy on every predicted block) just to keep
-	// them. Every field except the two checkpoints must be zeroed here.
+	// the struct write would also clear the inline history checkpoint
+	// (256 bytes) and drop the RAS checkpoint's buffer, on every predicted
+	// block, just before Save rewrites both. Every field except the two
+	// checkpoints must be zeroed here.
 	e.StartPC, e.NextPC = 0, 0
 	e.EndOffset, e.FetchedUpTo = 0, 0
 	e.PredictedTaken = false

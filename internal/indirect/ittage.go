@@ -90,15 +90,20 @@ func (it *ITTAGE) StorageBits() int {
 	return bits
 }
 
-func (it *ITTAGE) index(i int, pc uint64, h *bpred.History) uint32 {
-	tc := it.cfg.Tables[i]
-	f := h.Folded(it.foldBase + 2*i)
-	return (uint32(pc>>2) ^ uint32(pc>>(2+uint(tc.IdxBits))) ^ f ^ uint32(i)*0x2545) & (1<<uint(tc.IdxBits) - 1)
+// regs returns ITTAGE's folded registers: index and tag of table i at 2i
+// and 2i+1.
+func (it *ITTAGE) regs(h *bpred.History) []uint32 {
+	return h.Folds()[it.foldBase : it.foldBase+2*len(it.tables)]
 }
 
-func (it *ITTAGE) tag(i int, pc uint64, h *bpred.History) uint16 {
+func (it *ITTAGE) index(i int, pc uint64, regs []uint32) uint32 {
 	tc := it.cfg.Tables[i]
-	f := h.Folded(it.foldBase + 2*i + 1)
+	return (uint32(pc>>2) ^ uint32(pc>>(2+uint(tc.IdxBits))) ^ regs[2*i] ^ uint32(i)*0x2545) & (1<<uint(tc.IdxBits) - 1)
+}
+
+func (it *ITTAGE) tag(i int, pc uint64, regs []uint32) uint16 {
+	tc := it.cfg.Tables[i]
+	f := regs[2*i+1]
 	return uint16((uint32(pc>>2) ^ f ^ f<<1) & (1<<uint(tc.TagBits) - 1))
 }
 
@@ -109,9 +114,10 @@ func (it *ITTAGE) baseIdx(pc uint64) uint32 {
 // Predict returns the predicted target for the indirect branch at pc; ok
 // is false when the predictor has no information at all (cold base entry).
 func (it *ITTAGE) Predict(pc uint64, h *bpred.History) (target uint64, ok bool) {
+	regs := it.regs(h)
 	for i := len(it.tables) - 1; i >= 0; i-- {
-		e := &it.tables[i][it.index(i, pc, h)]
-		if e.tag == it.tag(i, pc, h) && e.conf > 0 {
+		e := &it.tables[i][it.index(i, pc, regs)]
+		if e.tag == it.tag(i, pc, regs) && e.conf > 0 {
 			return e.target, true
 		}
 	}
@@ -124,9 +130,10 @@ func (it *ITTAGE) Update(pc uint64, h *bpred.History, actual uint64) {
 	predicted, _ := it.Predict(pc, h)
 	provider := -1
 	var provIdx uint32
+	regs := it.regs(h)
 	for i := len(it.tables) - 1; i >= 0; i-- {
-		idx := it.index(i, pc, h)
-		if it.tables[i][idx].tag == it.tag(i, pc, h) && it.tables[i][idx].conf > 0 {
+		idx := it.index(i, pc, regs)
+		if it.tables[i][idx].tag == it.tag(i, pc, regs) && it.tables[i][idx].conf > 0 {
 			provider, provIdx = i, idx
 			break
 		}
@@ -159,16 +166,16 @@ func (it *ITTAGE) Update(pc uint64, h *bpred.History, actual uint64) {
 		start := provider + 1
 		allocated := false
 		for i := start; i < len(it.tables); i++ {
-			idx := it.index(i, pc, h)
+			idx := it.index(i, pc, regs)
 			if e := &it.tables[i][idx]; e.u == 0 {
-				*e = entry{tag: it.tag(i, pc, h), target: actual, conf: 1}
+				*e = entry{tag: it.tag(i, pc, regs), target: actual, conf: 1}
 				allocated = true
 				break
 			}
 		}
 		if !allocated {
 			for i := start; i < len(it.tables); i++ {
-				idx := it.index(i, pc, h)
+				idx := it.index(i, pc, regs)
 				if e := &it.tables[i][idx]; e.u > 0 {
 					e.u--
 				}
